@@ -379,6 +379,30 @@ func BenchmarkMultiKLoadsRandom(b *testing.B) {
 	}
 }
 
+// BenchmarkMultiKLoadsFig4d is one lazy multi-K walk at Fig. 4(d)
+// scale: XGFT(3;12,12,24;1,12,12), 3456 endpoints, the full 22-column
+// experiments.KGrid up to K = 144, for the disjoint and random
+// heuristics. This is the per-sample kernel of the fig4 sweep: path
+// indices, closed-form link expansion and the link-major load stripes.
+func BenchmarkMultiKLoadsFig4d(b *testing.B) {
+	t := topology.MustNew(3, []int{12, 12, 24}, []int{1, 12, 12})
+	ks := experiments.KGrid(t)
+	tm := traffic.FromPermutation(traffic.RandomPermutation(t.NumProcessors(), rand.New(rand.NewSource(2))))
+	for _, sel := range []core.Selector{core.Disjoint{}, core.RandomK{}} {
+		b.Run(sel.Name(), func(b *testing.B) {
+			ev := flow.NewMultiKEvaluator(core.NewRouting(t, sel, ks[len(ks)-1], 101), ks)
+			out := make([]float64, len(ks))
+			ev.MaxLoads(tm, nil, out)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev.MaxLoads(tm, nil, out)
+			}
+			b.ReportMetric(float64(len(ks)), "K-columns")
+		})
+	}
+}
+
 // BenchmarkOptimalLoad measures the subtree-cut OLOAD computation.
 func BenchmarkOptimalLoad(b *testing.B) {
 	t := benchTopo()

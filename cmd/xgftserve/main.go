@@ -38,6 +38,47 @@ func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// httpLimits bounds what one slow or oversized client can hold of a
+// listener: the time to send its headers and its whole request, the
+// time to take the response, how long an idle keep-alive connection
+// stays open, and the header size.
+type httpLimits struct {
+	readHeader, read, write, idle time.Duration
+	maxHeaderBytes                int
+}
+
+// queryLimits guard the query API. Responses get a minute: maxload and
+// /state on large fabrics take up to about a second.
+var queryLimits = httpLimits{
+	readHeader:     5 * time.Second,
+	read:           30 * time.Second,
+	write:          time.Minute,
+	idle:           2 * time.Minute,
+	maxHeaderBytes: 64 << 10,
+}
+
+// pprofLimits guard the profiling listener; its write budget fits a
+// CPU profile or execution trace of up to five minutes.
+var pprofLimits = httpLimits{
+	readHeader:     5 * time.Second,
+	read:           30 * time.Second,
+	write:          6 * time.Minute,
+	idle:           2 * time.Minute,
+	maxHeaderBytes: 64 << 10,
+}
+
+// newHTTPServer returns a server for h with the given limits.
+func newHTTPServer(h http.Handler, lim httpLimits) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: lim.readHeader,
+		ReadTimeout:       lim.read,
+		WriteTimeout:      lim.write,
+		IdleTimeout:       lim.idle,
+		MaxHeaderBytes:    lim.maxHeaderBytes,
+	}
+}
+
 // fabricList collects repeated -fabric flags.
 type fabricList []string
 
@@ -124,7 +165,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		fmt.Fprintf(stdout, "pprof on %s\n", pln.Addr())
 		go func() {
-			ps := &http.Server{Handler: pmux}
+			ps := newHTTPServer(pmux, pprofLimits)
 			ps.Serve(pln)
 		}()
 	}
@@ -143,7 +184,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			spec.Name, spec.XGFT, spec.Scheme, spec.K, spec.Seed, f.Mode(), f.Gen())
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler(), queryLimits)
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 

@@ -16,34 +16,19 @@ import (
 //     subtree blocks of the source), so per-level constants — path
 //     count, link stride, radix tables, the disjoint offset table —
 //     hoist out of the dst loop entirely.
-//  2. Path links separate into a (source, path index) half and a
-//     destination half (see topology.LinkExpander), so the source half
-//     of every canonical path is derived once per source instead of
-//     once per pair.
+//  2. Path links separate into endpoint bases and a pair-independent
+//     per-path addend (see topology.PathAddends), so the source's
+//     bases are derived once per source instead of once per pair.
 //
-// The filler below applies both. Path indices come from closed-form
-// per-scheme generators for the built-in deterministic selectors
-// (identical formulas to their Select methods) and from
-// Routing.AppendPathsScratch for randomized or custom selectors, so
-// every emitted row is bit-identical to the generic loop —
-// TestBlockCompiledMatchesCompiled diffs the result against
-// CompileRouting pair by pair.
+// The filler below applies both. Path indices come from the closed-form
+// IndexGen for the built-in deterministic selectors (identical formulas
+// to their Select methods) and from Routing.AppendPathsScratch for
+// randomized or custom selectors, so every emitted row is bit-identical
+// to the generic loop — TestBlockCompiledMatchesCompiled diffs the
+// result against CompileRouting pair by pair.
 
-// fastScheme tags the built-in deterministic selectors with closed-form
-// index generation; fastGeneric falls back to Selector.Select per pair.
-type fastScheme int
-
-const (
-	fastGeneric fastScheme = iota
-	fastDModK
-	fastSModK
-	fastShift1
-	fastDisjoint
-	fastUMulti
-)
-
-// segFiller holds the reusable state of one segment fill: radix tables,
-// per-level path-count and offset tables, the link expander and the
+// segFiller holds the reusable state of one segment fill: per-level
+// path-count tables, the index generator, the link expander and the
 // generic-selector scratch. One filler per compileSegment call; fills
 // are single-goroutine (block parallelism is across segments).
 type segFiller struct {
@@ -53,15 +38,10 @@ type segFiller struct {
 	h    int
 	n    int
 
-	w     [maxDigits]int
-	wprod [maxDigits]int
-	psub  [maxDigits]int // processors per level-k subtree
-	np    [maxDigits]int // paths per pair at NCA level k
+	psub [maxDigits]int // processors per level-k subtree
+	np   [maxDigits]int // paths per pair at NCA level k
 
-	scheme fastScheme
-	offs   [maxDigits][]int32 // disjoint enumeration offsets per level
-	iota   []int32            // 0..x-1 for UMULTI
-	smod   [maxDigits]int     // s-mod-k index per level (current source)
+	gen *IndexGen // nil: generic selector
 
 	idxBuf  []int32
 	pathBuf []int
@@ -87,30 +67,14 @@ func newSegFiller(r *Routing) *segFiller {
 	f.psub[0] = 1
 	maxNP := 0
 	for k := 1; k <= f.h; k++ {
-		f.w[k] = t.W(k)
-		f.wprod[k] = t.WProd(k)
 		f.psub[k] = t.ProcessorsPerSubtree(k)
 		f.np[k] = r.pathCount(k)
 		if f.np[k] > maxNP {
 			maxNP = f.np[k]
 		}
 	}
-	f.wprod[0] = 1
-	f.scheme = fastKindOf(r.sel)
-	switch f.scheme {
-	case fastDisjoint:
-		for k := 1; k <= f.h; k++ {
-			f.offs[k] = make([]int32, f.np[k])
-			for c := 0; c < f.np[k]; c++ {
-				f.offs[k][c] = int32(DisjointOffset(t, k, c))
-			}
-		}
-	case fastUMulti:
-		f.iota = make([]int32, f.wprod[f.h])
-		for i := range f.iota {
-			f.iota[i] = int32(i)
-		}
-	case fastGeneric:
+	f.gen = NewIndexGen(t, r.sel, r.k)
+	if f.gen == nil {
 		f.ps = NewPathScratch()
 	}
 	f.idxBuf = make([]int32, maxNP)
@@ -130,15 +94,6 @@ func (f *segFiller) perSourceCounts() (paths, links int64) {
 	return paths, links
 }
 
-// dmodkIndex is DModKIndex over the filler's cached radix tables.
-func (f *segFiller) dmodkIndex(v, k int) int {
-	idx := 0
-	for j := 1; j <= k; j++ {
-		idx = idx*f.w[j] + (v/f.wprod[j-1])%f.w[j]
-	}
-	return idx
-}
-
 // fill writes every CSR row of sources [lo, hi) into s, whose offset
 // and data arrays are already sized exactly. Rows are emitted in the
 // same (src, dst) order as the generic loop.
@@ -147,11 +102,6 @@ func (f *segFiller) fill(s *RoutingSegment, lo, hi int) error {
 	p := 0
 	for src := lo; src < hi; src++ {
 		f.exp.SetSource(src)
-		if f.scheme == fastSModK {
-			for k := 1; k <= f.h; k++ {
-				f.smod[k] = f.dmodkIndex(src, k)
-			}
-		}
 		// Destination intervals of constant NCA level: the nested
 		// aligned subtree blocks of src, split at the next-lower block.
 		// Descending run (dst < src), the self pair, ascending run.
@@ -227,7 +177,6 @@ func (f *segFiller) copySpan(s *RoutingSegment, d0, d1, k int, p *int, nPaths, n
 func (f *segFiller) fillSpan(s *RoutingSegment, src, d0, d1, k int, p *int, nPaths, nLinks *int64) error {
 	np := f.np[k]
 	stride := 2 * k
-	x := f.wprod[k]
 	row := *p
 	paths := *nPaths
 	links := *nLinks
@@ -235,26 +184,11 @@ func (f *segFiller) fillSpan(s *RoutingSegment, src, d0, d1, k int, p *int, nPat
 		s.pathOff[row] = paths
 		s.linkOff[row] = links
 		row++
-		idxs := f.idxBuf[:np]
-		switch f.scheme {
-		case fastDModK:
-			idxs[0] = int32(f.dmodkIndex(dst, k))
-		case fastSModK:
-			idxs[0] = int32(f.smod[k])
-		case fastShift1:
-			i0 := f.dmodkIndex(dst, k)
-			for c := 0; c < np; c++ {
-				idxs[c] = int32((i0 + c) % x)
-			}
-		case fastDisjoint:
-			i0 := f.dmodkIndex(dst, k)
-			offs := f.offs[k]
-			for c := 0; c < np; c++ {
-				idxs[c] = int32((i0 + int(offs[c])) % x)
-			}
-		case fastUMulti:
-			idxs = f.iota[:np]
-		default:
+		var idxs []int32
+		if f.gen != nil {
+			idxs = f.gen.Append(f.idxBuf[:0], src, dst, k, np)
+		} else {
+			idxs = f.idxBuf[:np]
 			f.pathBuf = f.r.AppendPathsScratch(f.ps, f.pathBuf[:0], src, dst)
 			if len(f.pathBuf) != np {
 				return fmt.Errorf("core: selector %s produced %d paths for pair (%d,%d), predicted %d; custom selectors must emit a fixed count per NCA level to be compilable",

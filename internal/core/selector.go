@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -176,6 +177,11 @@ func (RandomK) MultiPath() bool { return true }
 // and Select(K) stays a prefix of Select(K+1) (see PrefixNested).
 const randomKDenseX = 16
 
+// randomKBitmapX bounds the sparse draws whose membership test uses a
+// fixed-size stack bitmap (128 bytes) instead of scanning the accepted
+// prefix; the scan costs the hybrid tail O(x·x/4).
+const randomKBitmapX = 1024
+
 // Select implements Selector. Both draw regimes are prefix-nested and
 // allocation-free in the steady state: scratch lives in the spare
 // capacity of buf, so callers reusing a path buffer (PathScratch, the
@@ -201,22 +207,33 @@ func (RandomK) Select(t *topology.Topology, src, dst, limK int, rng *rand.Rand, 
 		}
 		return buf[:base+n]
 	}
-	// Sparse draw: rejection-sample distinct indices, membership checked
-	// by scanning the (tiny) accepted slice — n <= x/4 here keeps both
-	// the scan short and the expected rejections below n/3. The first m
-	// accepted values are a pure function of the stream, so truncating
-	// at any n <= x/4 nests.
+	return randomKSparse(x, n, rng, buf)
+}
+
+// randomKSparse is RandomK.Select's draw for x > randomKDenseX,
+// appending n distinct indices of [0, x) to buf.
+func randomKSparse(x, n int, rng *rand.Rand, buf []int) []int {
+	base := len(buf)
+	// Sparse draw: rejection-sample distinct indices. n <= x/4 here
+	// keeps the expected rejections below n/3. The first m accepted
+	// values are a pure function of the stream, so truncating at any
+	// n <= x/4 nests. Membership lives in a stack bitmap for
+	// x <= randomKBitmapX; above that the accepted slice is scanned.
 	lim := n
 	if sparseMax := x / 4; lim > sparseMax {
 		lim = sparseMax
 	}
-draw:
+	var seen [randomKBitmapX / 64]uint64
+	bitmap := x <= randomKBitmapX
 	for len(buf)-base < lim {
 		v := rng.Intn(x)
-		for _, u := range buf[base:] {
-			if u == v {
-				continue draw
+		if bitmap {
+			if seen[v>>6]&(1<<(v&63)) != 0 {
+				continue
 			}
+			seen[v>>6] |= 1 << (v & 63)
+		} else if slices.Contains(buf[base:], v) {
+			continue
 		}
 		buf = append(buf, v)
 	}
@@ -229,16 +246,14 @@ draw:
 	// again pure functions of the stream consumed so far, so every
 	// larger n extends the same sequence.
 	for v := 0; v < x; v++ {
-		dup := false
-		for _, u := range buf[base : base+lim] {
-			if u == v {
-				dup = true
-				break
+		if bitmap {
+			if seen[v>>6]&(1<<(v&63)) != 0 {
+				continue
 			}
+		} else if slices.Contains(buf[base:base+lim], v) {
+			continue
 		}
-		if !dup {
-			buf = append(buf, v)
-		}
+		buf = append(buf, v)
 	}
 	pool := buf[base+lim:]
 	for i := 0; i < n-lim && i < len(pool)-1; i++ {

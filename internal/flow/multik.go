@@ -19,9 +19,12 @@ import (
 // path and, at each K boundary of the grid, folds count·amount/min(K,X)
 // into that K's load vector; columns whose boundary reaches a level's
 // full path count replay that level's X paths with direct adds (the
-// same adds, in the same order, as a per-K evaluator). Touched-link
-// lists replace the O(numLinks) clear and the maximum is folded into
-// accumulation.
+// same adds as a per-K evaluator). Loads are stored link-major — link
+// l's K columns share one stripe — so a pair's folds across all its
+// boundaries stay within a few cache lines per link. Touched-link
+// lists replace the O(numLinks) clear, and the maximum is folded once
+// per sample over the touched stripes (loads only grow within a
+// sample, so that equals the running maximum of every add).
 //
 // Columns whose effective path count is the full X at EVERY NCA level
 // (K >= MaxPaths for limited schemes; always for UMULTI) route exactly
@@ -40,6 +43,7 @@ type MultiKEvaluator struct {
 	c    *core.CompiledRouting // compiled table at Kmax, or nil
 	r    *core.Routing         // lazy source when c == nil
 	ps   *core.PathScratch
+	gen  *core.IndexGen // closed-form lazy indices; nil for randomized/custom selectors
 
 	class selClass
 	// oload[j]: column j's effective count is X at every level, so its
@@ -47,25 +51,36 @@ type MultiKEvaluator struct {
 	oload []bool
 
 	numLinks int
-	backing  []float64   // len(ks)·numLinks load entries
-	rows     [][]float64 // rows[j] = backing row of ks[j]
+	nK       int
+	// backing[l·nK+j] is link l's load under column j: one nK-wide
+	// stripe per link.
+	backing []float64
+	walk    []int // active, non-Theorem-1 columns of the current call
 
-	// Per-sample touched bookkeeping: stamp[l] == epoch marks that some
-	// row loaded link l this sample; touched lists those links so the
-	// next call clears only them (in every still-active row).
+	// Per-sample touched bookkeeping: stamp[l] == epoch marks that link
+	// l's stripe was loaded this sample; touched lists those links, for
+	// the end-of-sample max fold and the next call's stripe clear.
 	stamp   []uint32
 	epoch   uint32
 	touched []int32
 
-	// Per-pair prefix counting scratch.
-	counts      []int32
+	// Per-pair fold state: slot[l] is 1 + link l's index in pairTouched
+	// (0: not hit by this pair); per slot, hits counts the link's hits so
+	// far and foldFrom is the first flat fold row (multiKPlan.rows) not
+	// yet folded into its stripe. shares[i] is amount/b of fold row i.
+	slot        []int32
 	pairTouched []int32
+	hits        []int32
+	foldFrom    []int32
+	shares      []float64
 
 	plans []multiKPlan // indexed by NCA level, rebuilt per call
 
+	idxBuf      []int32
 	pathBuf     []int
-	linkBuf     []topology.LinkID
-	fullLinkBuf []topology.LinkID
+	linkBuf     []int32
+	fullLinkBuf []int32
+	col         []float64 // Loads gather buffer
 	allActive   []bool
 	opt         optScratch
 }
@@ -93,23 +108,20 @@ func classify(sel core.Selector) selClass {
 
 // multiKPlan is the per-NCA-level evaluation plan for one MaxLoads
 // call: which active K columns fold at which path-count boundary (all
-// boundaries < X, ascending, rows grouped per boundary), which active
-// columns use the full X-path set, and how long the derived prefix
-// must be.
+// boundaries < X, ascending), which active columns use the full X-path
+// set, and how long the derived prefix must be.
 type multiKPlan struct {
 	x      int
-	stride int   // links per path segment (2·level)
-	allIdx []int // canonical 0..x-1, for the lazy full-set pass
-	bPre   int   // longest prefix any fold boundary needs (0: none)
-	bounds []foldBound
+	stride int     // links per path segment (2·level)
+	allIdx []int32 // canonical 0..x-1, for the lazy full-set pass
+	bPre   int     // longest prefix any fold boundary needs (0: none)
+	// bounds are the distinct fold boundaries, ascending; the fold
+	// columns, in grid order, are rows, those of bounds[bi] ending at
+	// rowEnd[bi] (and starting at rowEnd[bi-1], or 0).
+	bounds []int
+	rowEnd []int
+	rows   []int
 	full   []int
-
-	boundsStore []foldBound
-}
-
-type foldBound struct {
-	b    int
-	rows []int
 }
 
 // NewMultiKEvaluator creates a lazy multi-K evaluator for the routing
@@ -120,7 +132,10 @@ type foldBound struct {
 func NewMultiKEvaluator(r *core.Routing, ks []int) *MultiKEvaluator {
 	e := newMultiK(r.Topology(), r.Selector(), ks)
 	e.r = r
-	e.ps = core.NewPathScratch()
+	e.gen = core.NewIndexGen(r.Topology(), r.Selector(), ks[len(ks)-1])
+	if e.gen == nil {
+		e.ps = core.NewPathScratch()
+	}
 	return e
 }
 
@@ -162,10 +177,10 @@ func newMultiK(t *topology.Topology, sel core.Selector, ks []int) *MultiKEvaluat
 		ks:       append([]int(nil), ks...),
 		class:    classify(sel),
 		numLinks: nL,
+		nK:       nK,
 		backing:  make([]float64, nK*nL),
-		rows:     make([][]float64, nK),
 		stamp:    make([]uint32, nL),
-		counts:   make([]int32, nL),
+		slot:     make([]int32, nL),
 		plans:    make([]multiKPlan, t.H()+1),
 		allActive: func() []bool {
 			a := make([]bool, nK)
@@ -175,9 +190,6 @@ func newMultiK(t *topology.Topology, sel core.Selector, ks []int) *MultiKEvaluat
 			return a
 		}(),
 	}
-	for j := range e.rows {
-		e.rows[j] = e.backing[j*nL : (j+1)*nL]
-	}
 	e.oload = make([]bool, nK)
 	for j, k := range ks {
 		e.oload[j] = e.effCount(k, t.MaxPaths()) == t.MaxPaths()
@@ -186,11 +198,10 @@ func newMultiK(t *topology.Topology, sel core.Selector, ks []int) *MultiKEvaluat
 		p := &e.plans[lev]
 		p.x = t.WProd(lev)
 		p.stride = 2 * lev
-		p.allIdx = make([]int, p.x)
+		p.allIdx = make([]int32, p.x)
 		for i := range p.allIdx {
-			p.allIdx[i] = i
+			p.allIdx[i] = int32(i)
 		}
-		p.boundsStore = make([]foldBound, nK)
 	}
 	return e
 }
@@ -213,31 +224,32 @@ func (e *MultiKEvaluator) effCount(k, x int) int {
 	return k
 }
 
-// buildPlans groups the active K columns of every NCA level into fold
-// boundaries (< X) and full-set columns (= X) for this call.
+// buildPlans lists this call's walked columns and groups them, at every
+// NCA level, into fold boundaries (< X) and full-set columns (= X).
 func (e *MultiKEvaluator) buildPlans(active []bool) {
+	e.walk = e.walk[:0]
+	for j := range e.ks {
+		if active[j] && !e.oload[j] {
+			e.walk = append(e.walk, j)
+		}
+	}
 	for lev := 1; lev < len(e.plans); lev++ {
 		p := &e.plans[lev]
-		p.bounds = p.boundsStore[:0]
+		p.bounds, p.rowEnd, p.rows = p.bounds[:0], p.rowEnd[:0], p.rows[:0]
 		p.full = p.full[:0]
 		p.bPre = 0
-		for j, k := range e.ks {
-			if !active[j] || e.oload[j] {
-				continue
-			}
-			b := e.effCount(k, p.x)
+		for _, j := range e.walk {
+			b := e.effCount(e.ks[j], p.x)
 			if b >= p.x {
 				p.full = append(p.full, j)
 				continue
 			}
-			if n := len(p.bounds); n > 0 && p.bounds[n-1].b == b {
-				p.bounds[n-1].rows = append(p.bounds[n-1].rows, j)
-			} else {
-				p.bounds = p.boundsStore[:n+1]
-				fb := &p.bounds[n]
-				fb.b = b
-				fb.rows = append(fb.rows[:0], j)
+			if n := len(p.bounds); n == 0 || p.bounds[n-1] != b {
+				p.bounds = append(p.bounds, b)
+				p.rowEnd = append(p.rowEnd, len(p.rows))
 			}
+			p.rows = append(p.rows, j)
+			p.rowEnd[len(p.rowEnd)-1]++
 			p.bPre = b // ks ascending ⇒ boundaries non-decreasing
 		}
 	}
@@ -245,11 +257,9 @@ func (e *MultiKEvaluator) buildPlans(active []bool) {
 
 // MaxLoads computes MLOAD at every active K of the grid under tm,
 // writing out[j] for each j with active[j] true and leaving frozen
-// entries untouched (nil active means all). The active set must be
-// non-increasing across calls on one evaluator — a column, once
-// frozen, must stay frozen (this matches stats.SampleAdaptiveVec) —
-// because frozen rows keep their stale loads and are excluded from the
-// touched-link clearing.
+// entries untouched (nil active means all). The active set may change
+// between calls: the clear wipes whole stripes, so a column skipped by
+// one call holds no loads by the next.
 func (e *MultiKEvaluator) MaxLoads(tm *traffic.Matrix, active []bool, out []float64) {
 	if tm.N != e.topo.NumProcessors() {
 		panic(fmt.Sprintf("flow: traffic matrix over %d nodes, topology has %d", tm.N, e.topo.NumProcessors()))
@@ -272,7 +282,7 @@ func (e *MultiKEvaluator) MaxLoads(tm *traffic.Matrix, active []bool, out []floa
 	met.multikWalks.Inc()
 	met.multikColumns.Add(int64(nAct))
 	// Theorem-1 columns: one subtree-cut pass serves them all; their
-	// load rows stay untouched (always zero).
+	// stripe entries stay untouched (always zero).
 	if nOpt > 0 {
 		ol := e.opt.optimalLoad(e.topo, tm)
 		for j := range e.ks {
@@ -285,125 +295,173 @@ func (e *MultiKEvaluator) MaxLoads(tm *traffic.Matrix, active []bool, out []floa
 		return
 	}
 	met.pairsEvaluated.Add(int64(len(tm.Flows())))
-	// Clear only what the previous sample loaded, in the rows that are
-	// still live, then stamp a fresh epoch.
-	for j := range e.ks {
-		if !active[j] || e.oload[j] {
-			continue
-		}
-		row := e.rows[j]
-		for _, l := range e.touched {
-			row[l] = 0
-		}
-		out[j] = 0
+	// Clear the stripes the previous sample loaded, then stamp a fresh
+	// epoch. Whole stripes, so columns this call skips come back clean.
+	nK := e.nK
+	for _, l := range e.touched {
+		clear(e.backing[int(l)*nK : int(l)*nK+nK])
 	}
 	e.touched = e.touched[:0]
 	e.epoch++
 	if e.epoch == 0 { // wrapped: stamps from the old era are ambiguous
-		for i := range e.stamp {
-			e.stamp[i] = 0
-		}
+		clear(e.stamp)
 		e.epoch = 1
 	}
 	e.buildPlans(active)
 	for _, f := range tm.Flows() {
-		e.evalPair(f.Src, f.Dst, f.Amount, out)
+		e.evalPair(f.Src, f.Dst, f.Amount)
+	}
+	// Loads only grow within a sample, so the maximum over the touched
+	// stripes' final values is the running maximum of every add.
+	for _, j := range e.walk {
+		out[j] = 0
+	}
+	for _, l := range e.touched {
+		stripe := e.backing[int(l)*nK : int(l)*nK+nK]
+		for _, j := range e.walk {
+			if v := stripe[j]; v > out[j] {
+				out[j] = v
+			}
+		}
 	}
 }
 
-func (e *MultiKEvaluator) evalPair(src, dst int, amount float64, out []float64) {
-	p := &e.plans[e.topo.NCALevel(src, dst)]
+func (e *MultiKEvaluator) evalPair(src, dst int, amount float64) {
+	k := e.topo.NCALevel(src, dst)
+	p := &e.plans[k]
 	if len(p.bounds) > 0 {
 		if e.c != nil {
 			links, _, _ := e.c.PairPathLinks(src, dst)
-			walkBounds(e, p, links, amount, out)
+			e.walkBounds(p, links, amount)
 		} else {
-			e.pathBuf = e.r.AppendPathsLimitedScratch(e.ps, e.pathBuf[:0], src, dst, p.bPre)
-			e.linkBuf = core.AppendPathSetLinks(e.topo, src, dst, e.pathBuf, e.linkBuf[:0])
-			walkBounds(e, p, e.linkBuf, amount, out)
+			if e.gen != nil {
+				e.idxBuf = e.gen.Append(e.idxBuf[:0], src, dst, k, p.bPre)
+				e.linkBuf = topology.AppendPathSetLinks(e.topo, e.linkBuf[:0], src, dst, k, e.idxBuf)
+			} else {
+				e.pathBuf = e.r.AppendPathsLimitedScratch(e.ps, e.pathBuf[:0], src, dst, p.bPre)
+				e.linkBuf = topology.AppendPathSetLinks(e.topo, e.linkBuf[:0], src, dst, k, e.pathBuf)
+			}
+			e.walkBounds(p, e.linkBuf, amount)
 		}
 	}
 	if len(p.full) > 0 {
-		share := amount / float64(p.x)
+		links := e.fullLinkBuf
 		if e.c != nil {
-			links, _, _ := e.c.PairPathLinks(src, dst)
-			for _, row := range p.full {
-				addFull(e, row, links, share, out)
-			}
+			links, _, _ = e.c.PairPathLinks(src, dst)
 		} else {
-			e.fullLinkBuf = core.AppendPathSetLinks(e.topo, src, dst, p.allIdx, e.fullLinkBuf[:0])
-			for _, row := range p.full {
-				addFull(e, row, e.fullLinkBuf, share, out)
-			}
+			e.fullLinkBuf = topology.AppendPathSetLinks(e.topo, e.fullLinkBuf[:0], src, dst, k, p.allIdx)
+			links = e.fullLinkBuf
 		}
+		e.addFull(p, links, amount/float64(p.x))
 	}
 }
 
-// walkBounds advances the pair's per-link hit counts boundary by
-// boundary and folds count·amount/b into every row grouped at each
-// boundary b. links must cover at least p.bPre path segments of
-// p.stride links each.
-func walkBounds[L ~int | ~int32](e *MultiKEvaluator, p *multiKPlan, links []L, amount float64, out []float64) {
-	prev := 0
-	for bi := range p.bounds {
-		fb := &p.bounds[bi]
-		for _, l := range links[prev*p.stride : fb.b*p.stride] {
-			if e.counts[l] == 0 {
-				e.pairTouched = append(e.pairTouched, int32(l))
-			}
-			e.counts[l]++
+// touch stamps link l's stripe as loaded this sample.
+func (e *MultiKEvaluator) touch(l int32) {
+	if e.stamp[l] != e.epoch {
+		e.stamp[l] = e.epoch
+		e.touched = append(e.touched, l)
+	}
+}
+
+// walkBounds folds count·amount/b into every row grouped at each fold
+// boundary b, count being how many of the pair's first b paths cross
+// the link: exactly one add per (row, link) per pair. links must cover
+// at least p.bPre path segments of p.stride links each.
+//
+// Paths are visited in order, so a link's count at boundary bi is final
+// once a hit beyond bi arrives. Each link's folds are therefore
+// deferred until its count changes or the pair ends, and then applied
+// boundary after boundary to its stripe while it is in cache; links hit
+// by one path only (most of them) fold all their boundaries at once.
+func (e *MultiKEvaluator) walkBounds(p *multiKPlan, links []int32, amount float64) {
+	e.shares = e.shares[:0]
+	start := 0
+	for bi, b := range p.bounds {
+		share := amount / float64(b)
+		for range p.rows[start:p.rowEnd[bi]] {
+			e.shares = append(e.shares, share)
 		}
-		prev = fb.b
-		share := amount / float64(fb.b)
-		for _, row := range fb.rows {
-			loads := e.rows[row]
-			mx := out[row]
-			for _, l := range e.pairTouched {
-				if e.stamp[l] != e.epoch {
-					e.stamp[l] = e.epoch
-					e.touched = append(e.touched, l)
-				}
-				v := loads[l] + float64(e.counts[l])*share
-				loads[l] = v
-				if v > mx {
-					mx = v
-				}
+		start = p.rowEnd[bi]
+	}
+	bi := 0
+	for path := 0; path < p.bPre; path++ {
+		for path >= p.bounds[bi] {
+			bi++
+		}
+		// A hit on a path of boundary group bi makes the link's counts
+		// at every earlier boundary final; from is bi's first flat row.
+		from := 0
+		if bi > 0 {
+			from = p.rowEnd[bi-1]
+		}
+		for _, l := range links[path*p.stride : (path+1)*p.stride] {
+			s := e.slot[l] - 1
+			if s < 0 {
+				e.pairTouched = append(e.pairTouched, l)
+				e.hits = append(e.hits, 1)
+				e.foldFrom = append(e.foldFrom, int32(from))
+				e.slot[l] = int32(len(e.pairTouched))
+				e.touch(l)
+				continue
 			}
-			out[row] = mx
+			if done := int(e.foldFrom[s]); done < from {
+				e.fold(p, l, e.hits[s], done, from)
+				e.foldFrom[s] = int32(from)
+			}
+			e.hits[s]++
 		}
 	}
-	for _, l := range e.pairTouched {
-		e.counts[l] = 0
+	for s, l := range e.pairTouched {
+		e.fold(p, l, e.hits[s], int(e.foldFrom[s]), len(p.rows))
+		e.slot[l] = 0
 	}
 	e.pairTouched = e.pairTouched[:0]
+	e.hits = e.hits[:0]
+	e.foldFrom = e.foldFrom[:0]
 }
 
-// addFull replays the pair's full path set into one row with direct
-// per-link adds — the same adds, in the same order, as a per-K
-// evaluator at any K >= X performs, so full-set columns stay
-// bit-identical to per-cell evaluation.
-func addFull[L ~int | ~int32](e *MultiKEvaluator, row int, links []L, share float64, out []float64) {
-	loads := e.rows[row]
-	mx := out[row]
+// fold adds count·shares[i] to link l's entry of fold row rows[i] for
+// every flat row i in [lo, hi).
+func (e *MultiKEvaluator) fold(p *multiKPlan, l, count int32, lo, hi int) {
+	stripe := e.backing[int(l)*e.nK : int(l)*e.nK+e.nK]
+	c := float64(count)
+	shares := e.shares[lo:hi]
+	for i, row := range p.rows[lo:hi] {
+		stripe[row] = stripe[row] + c*shares[i]
+	}
+}
+
+// addFull replays the pair's full path set into the full-set rows with
+// direct per-link adds — the same adds a per-K evaluator at any K >= X
+// performs (every add of a (row, link) is the same share, so their
+// order is immaterial), keeping full-set columns bit-identical to
+// per-cell evaluation.
+func (e *MultiKEvaluator) addFull(p *multiKPlan, links []int32, share float64) {
+	nK := e.nK
 	for _, l := range links {
-		if e.stamp[l] != e.epoch {
-			e.stamp[l] = e.epoch
-			e.touched = append(e.touched, int32(l))
-		}
-		v := loads[l] + share
-		loads[l] = v
-		if v > mx {
-			mx = v
+		e.touch(l)
+		stripe := e.backing[int(l)*nK : int(l)*nK+nK]
+		for _, row := range p.full {
+			stripe[row] += share
 		}
 	}
-	out[row] = mx
 }
 
-// Loads returns the load vector of the given K column as computed by
-// the most recent MaxLoads call (valid until the next call; the slice
-// is owned by the evaluator). Theorem-1 columns are never walked, so
-// their rows stay all-zero. Intended for differential tests.
-func (e *MultiKEvaluator) Loads(j int) []float64 { return e.rows[j] }
+// Loads gathers the load vector of the given K column as computed by
+// the most recent MaxLoads call, for which the column was active, into
+// an evaluator-owned slice valid until the next Loads or MaxLoads call.
+// Theorem-1 columns are never walked, so theirs is all-zero. Intended
+// for differential tests.
+func (e *MultiKEvaluator) Loads(j int) []float64 {
+	if e.col == nil {
+		e.col = make([]float64, e.numLinks)
+	}
+	for l := range e.col {
+		e.col[l] = e.backing[l*e.nK+j]
+	}
+	return e.col
+}
 
 // OptimalLoad computes OLOAD(TM) reusing evaluator-resident scratch —
 // OLOAD is routing-independent, so one call serves every K column of a

@@ -259,3 +259,124 @@ func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// naiveMultiKLoads is the reference accumulation the multi-K kernel
+// must reproduce bit for bit, written row-major and per column: pairs
+// in flow order; a column whose path count b is below the pair's X adds
+// count·(amount/b) once per link of the pair's first b paths; a
+// full-set column adds amount/X once per link occurrence of all X
+// paths.
+func naiveMultiKLoads(tp *topology.Topology, r *core.Routing, k int, tm *traffic.Matrix) []float64 {
+	loads := make([]float64, tp.NumLinks())
+	_, umulti := r.Selector().(core.UMulti)
+	for _, f := range tm.Flows() {
+		x := tp.NumPathsBetween(f.Src, f.Dst)
+		b := k
+		if !r.Selector().MultiPath() {
+			b = 1
+		}
+		if b >= x || umulti {
+			all := make([]int, x)
+			for i := range all {
+				all[i] = i
+			}
+			for _, l := range core.AppendPathSetLinks(tp, f.Src, f.Dst, all, nil) {
+				loads[l] += f.Amount / float64(x)
+			}
+			continue
+		}
+		ps := core.NewRouting(tp, r.Selector(), b, r.Seed()).Paths(f.Src, f.Dst)
+		counts := map[topology.LinkID]int{}
+		var order []topology.LinkID
+		for _, l := range core.AppendPathSetLinks(tp, f.Src, f.Dst, ps, nil) {
+			if counts[l] == 0 {
+				order = append(order, l)
+			}
+			counts[l]++
+		}
+		share := f.Amount / float64(b)
+		for _, l := range order {
+			loads[l] = loads[l] + float64(counts[l])*share
+		}
+	}
+	return loads
+}
+
+// TestMultiKEvaluatorMatchesNaiveFold pins the link-major kernel (the
+// deferred per-link folds, the once-per-sample max, the stripe clear)
+// bit for bit to the row-major reference accumulation, for the lazy
+// and compiled sources alike, over repeated samples.
+func TestMultiKEvaluatorMatchesNaiveFold(t *testing.T) {
+	topos := []*topology.Topology{
+		topology.MustNew(3, []int{2, 3, 2}, []int{2, 2, 3}),
+		topology.MustNew(3, []int{4, 4, 6}, []int{1, 4, 4}),
+	}
+	for _, tp := range topos {
+		var ks []int
+		for _, k := range []int{1, 2, 3, 5, 7, 12} {
+			if k < tp.MaxPaths()-1 {
+				ks = append(ks, k)
+			}
+		}
+		ks = append(ks, tp.MaxPaths()-1)
+		n := tp.NumProcessors()
+		for _, sel := range []core.Selector{core.Shift1{}, core.Disjoint{}, core.RandomK{}, core.DModK{}} {
+			r := core.NewRouting(tp, sel, ks[len(ks)-1], 5)
+			c, err := core.CompileRouting(r, 1<<30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lazy := NewMultiKEvaluator(r, ks)
+			comp := NewCompiledMultiKEvaluator(c, ks)
+			outL := make([]float64, len(ks))
+			outC := make([]float64, len(ks))
+			for sample := 0; sample < 3; sample++ {
+				tm := traffic.FromPermutation(traffic.RandomPermutation(n, stats.Stream(17, int64(sample))))
+				lazy.MaxLoads(tm, nil, outL)
+				comp.MaxLoads(tm, nil, outC)
+				for j, k := range ks {
+					want := naiveMultiKLoads(tp, r, k, tm)
+					wantMax := 0.0
+					for _, v := range want {
+						wantMax = math.Max(wantMax, v)
+					}
+					if outL[j] != wantMax || outC[j] != wantMax {
+						t.Fatalf("%s on %s K=%d sample %d: max lazy %v compiled %v, reference %v", sel.Name(), tp, k, sample, outL[j], outC[j], wantMax)
+					}
+					for name, ev := range map[string]*MultiKEvaluator{"lazy": lazy, "compiled": comp} {
+						got := ev.Loads(j)
+						for l := range want {
+							if got[l] != want[l] {
+								t.Fatalf("%s %s on %s K=%d sample %d: load[%d] = %v, reference %v", name, sel.Name(), tp, k, sample, l, got[l], want[l])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMultiKEvaluatorReactivation pins that a column skipped by some
+// calls comes back clean: the stripe clear wipes every column, so
+// re-activating a frozen column yields the same value as a fresh walk.
+func TestMultiKEvaluatorReactivation(t *testing.T) {
+	tp := topology.MustNew(3, []int{2, 2, 4}, []int{1, 2, 2})
+	ks := []int{1, 2, 3}
+	n := tp.NumProcessors()
+	r := core.NewRouting(tp, core.Disjoint{}, 3, 0)
+	ev := NewMultiKEvaluator(r, ks)
+	out := make([]float64, len(ks))
+	want := make([]float64, len(ks))
+	actives := [][]bool{{true, true, true}, {false, true, false}, {false, false, true}, {true, true, true}}
+	for sample, active := range actives {
+		tm := traffic.FromPermutation(traffic.RandomPermutation(n, stats.Stream(23, int64(sample))))
+		ev.MaxLoads(tm, active, out)
+		NewMultiKEvaluator(r, ks).MaxLoads(tm, nil, want)
+		for j := range ks {
+			if active[j] && out[j] != want[j] {
+				t.Fatalf("sample %d column %d: %v after re-activation, fresh %v", sample, j, out[j], want[j])
+			}
+		}
+	}
+}

@@ -140,7 +140,18 @@ func (w *worker) draw() reqKind {
 	return kindMaxLoad
 }
 
+// maxloadPatterns are the traffic patterns maxload queries draw from.
+// bitcomp, last, is only defined on power-of-two endpoint counts (the
+// server rejects it elsewhere), so it is drawn only there.
 var maxloadPatterns = []string{"shift", "random", "bitcomp"}
+
+// patternChoices is how many of maxloadPatterns apply to n endpoints.
+func patternChoices(n int) int {
+	if n&(n-1) != 0 {
+		return len(maxloadPatterns) - 1
+	}
+	return len(maxloadPatterns)
+}
 
 // issue sends one request and reports whether it succeeded; the
 // response body is drained so the connection is reused. A 429 from the
@@ -173,7 +184,7 @@ func (w *worker) issue(ctx context.Context, kind reqKind) bool {
 		w.url = append(w.url, "/fabrics/"...)
 		w.url = append(w.url, cfg.Fabric...)
 		w.url = append(w.url, "/maxload?pattern="...)
-		w.url = append(w.url, maxloadPatterns[w.rng.Intn(len(maxloadPatterns))]...)
+		w.url = append(w.url, maxloadPatterns[w.rng.Intn(patternChoices(cfg.Endpoints))]...)
 		w.url = append(w.url, "&arg="...)
 		w.url = strconv.AppendInt(w.url, int64(1+w.rng.Intn(cfg.Endpoints-1)), 10)
 		method, url = "GET", string(w.url)

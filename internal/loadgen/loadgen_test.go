@@ -86,6 +86,39 @@ func TestRunBatchAndMaxLoad(t *testing.T) {
 	}
 }
 
+// TestMaxLoadPatternsNonPowerOfTwo pins that maxload queries on a
+// fabric whose endpoint count is not a power of two draw no bitcomp
+// pattern, which the server would reject: zero errors at 288 endpoints.
+func TestMaxLoadPatternsNonPowerOfTwo(t *testing.T) {
+	s, err := serve.New(serve.Config{
+		Fabrics: []serve.FabricSpec{{Name: "fig4c", XGFT: "2;12,24;1,12", Scheme: "d-mod-k", K: 1, Seed: 2012}},
+		Dir:     t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	s.Start(ctx)
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(hs.Close)
+	res, err := Run(context.Background(), Config{
+		BaseURL: hs.URL, Fabric: "fig4c", Endpoints: 288,
+		Concurrency: 2, Requests: 60, Seed: 4,
+		Mix: Mix{MaxLoad: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 || res.Requests != 60 {
+		t.Fatalf("maxload run on 288 endpoints: %v", res)
+	}
+	if got := patternChoices(1024); got != len(maxloadPatterns) {
+		t.Errorf("1024 endpoints draw from %d patterns, want all %d", got, len(maxloadPatterns))
+	}
+}
+
 func TestRunOpenLoop(t *testing.T) {
 	url := bootServer(t)
 	res, err := Run(context.Background(), Config{

@@ -458,9 +458,13 @@ type faultAck struct {
 	Seq uint64 `json:"seq"`
 }
 
+// maxEventBytes bounds a POST /faults body; one event is well under
+// 200 bytes of JSON.
+const maxEventBytes = 4 << 10
+
 func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request, f *Fabric) {
 	var e Event
-	if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEventBytes)).Decode(&e); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("bad event: %v", err)})
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -462,4 +463,28 @@ func TestConcurrentQueriesDuringChurnRaceClean(t *testing.T) {
 	default:
 	}
 	waitSettled(t, f)
+}
+
+// TestFaultBodyBounded pins the POST /faults body cap: an event padded
+// past maxEventBytes is rejected with 400 and never journaled.
+func TestFaultBodyBounded(t *testing.T) {
+	s, err := New(Config{Fabrics: []FabricSpec{edgeSpec()}, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	body := `{"op":"fail","kind":"link","link":1,"pad":"` + strings.Repeat("a", 2*maxEventBytes) + `"}`
+	resp, err := http.Post(hs.URL+"/fabrics/edge/faults", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized event: %d, want 400", resp.StatusCode)
+	}
+	if got := s.Fabric("edge").journal.Records(); got != 0 {
+		t.Errorf("journal records = %d, want 0", got)
+	}
 }

@@ -47,6 +47,8 @@ type Topology struct {
 
 	mprod []int // mprod[l] = Π_{i=l+1..h} m_i
 	wprod []int // wprod[l] = Π_{i=1..l} w_i
+
+	addends []addendTable // addends[k]: A_k, built on first use (see PathAddends)
 }
 
 // New constructs XGFT(h; m[0..h-1]; w[0..h-1]). The slices use natural
@@ -107,6 +109,7 @@ func New(h int, m, w []int) (*Topology, error) {
 		t.edgeOffset[l+1] = t.edgeOffset[l] + t.levelCount[l]*t.w[l+1]
 	}
 	t.numEdges = t.edgeOffset[h]
+	t.addends = make([]addendTable, h+1)
 	return t, nil
 }
 
