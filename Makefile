@@ -42,11 +42,11 @@ mv BENCH_$(1).json.tmp BENCH_$(1).json
 endef
 
 bench-json:
-	$(GO) test -run xxx -bench 'Fig4|Table1|FailureSweep|MegaFabricSweep' -benchmem -benchtime 1x -timeout 60m . | tee bench_output.txt
+	$(GO) test -run xxx -bench 'Fig4|FailureSweep|MegaFabricSweep' -benchmem -benchtime 1x -timeout 60m . | tee bench_output.txt
 	$(GO) test -run xxx -bench 'FlowEvaluator|LoadsCompiled|CompileRouting|CompileRepaired|DeltaRepair|PathSelection|PathLinks|OptimalLoad|MultiKLoads|BlockCompiledLoads' \
 		-benchmem -timeout 60m . | tee -a bench_output.txt
 	$(call rotate-record,flow,bench_output.txt)
-	$(GO) test -run xxx -bench 'Fig5|AdaptiveK' -benchmem -benchtime 1x -timeout 60m . | tee bench_flit_output.txt
+	$(GO) test -run xxx -bench 'Table1|Fig5|AdaptiveK' -benchmem -benchtime 1x -timeout 60m . | tee bench_flit_output.txt
 	$(GO) test -run xxx -bench 'FlitEngine' -benchmem -timeout 60m . | tee -a bench_flit_output.txt
 	$(call rotate-record,flit,bench_flit_output.txt)
 	$(GO) test -run xxx -bench 'ServeSingle|ServeBatch|ServeOpen' -benchmem -timeout 60m ./internal/loadgen | tee bench_serve_output.txt
@@ -87,7 +87,11 @@ endif
 # AccumulateSegments); the tail runs race-instrumented mega smokes for
 # the prefetch pipeline (nonzero segments_prefetched, no stall wedge —
 # the run completing is the wedge check) and the delta-segment cache
-# (nonzero bytes saved).
+# (nonzero bytes saved). The flit lines also run the full-Result engine
+# golden (every Result field and flit.* counter of a selector × VC ×
+# burst × fault × policy × pattern × load matrix) and the arena and
+# armed-bitmap invariants; the fuzz lines give each hostile-input
+# target (XGFB batch frames, fabric specs) a short fixed budget.
 ci: vet
 	$(GO) test -short -race ./...
 	$(GO) test -race -run 'Repair|Wedge|Drain|Degraded|Failure' ./internal/core ./internal/flit ./internal/flow ./internal/lid
@@ -95,6 +99,9 @@ ci: vet
 	$(GO) test -race -count=1 -run 'TestServeBenchSmoke' ./internal/loadgen
 	$(GO) test -count=1 -run 'TestKillDashNineRecovery' ./cmd/xgftserve
 	$(GO) test -run 'Alloc' -count=1 ./internal/obs ./internal/flit ./internal/flow ./internal/serve ./internal/stats
+	$(GO) test -run 'EngineResultsGolden|ArenaBounded|ArmedBitmap' -count=1 ./internal/flit
+	$(GO) test -run xxx -fuzz FuzzDecodeBatchFrame -fuzztime=10s ./internal/serve
+	$(GO) test -run xxx -fuzz FuzzParseFabricSpec -fuzztime=10s ./internal/serve
 	$(GO) test -race -count=1 -run 'AdaptiveK' ./internal/flit ./internal/experiments
 	$(GO) test -run 'PrefixNesting|MultiK|SampleAdaptiveVec' -count=1 ./internal/core ./internal/flow ./internal/stats
 	rm -rf ci-smoke && $(GO) run ./cmd/xgftpaper -exp failures -scale quick -out ci-smoke

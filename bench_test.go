@@ -436,6 +436,44 @@ func BenchmarkFlitEngine(b *testing.B) {
 	b.ReportMetric(2500*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 }
 
+// BenchmarkFlitEngineSaturated measures the regime that dominates the
+// Table 1 sweep: the Table 1 fabric at offered load 1.0, past
+// saturation, where queues stay full and injection backlogs grow.
+// Oblivious source routing and adaptive-K steering each get a
+// sub-benchmark; ns/flit divides the run time by the flits ejected in
+// the measurement window.
+func BenchmarkFlitEngineSaturated(b *testing.B) {
+	t := benchTopo()
+	pattern := traffic.NewPermutationPattern("bench-saturated",
+		traffic.RandomDerangementish(t.NumProcessors(), rand.New(rand.NewSource(4))))
+	for _, sel := range []flit.OutputSelector{flit.SelectOblivious, flit.SelectAdaptiveK} {
+		b.Run(sel.String(), func(b *testing.B) {
+			cfg := flit.Config{
+				Routing:       core.NewRouting(t, core.Disjoint{}, 4, 0),
+				Pattern:       pattern,
+				OfferedLoad:   1.0,
+				WarmupCycles:  1000,
+				MeasureCycles: 3000,
+				Seed:          5,
+				Selector:      sel,
+			}
+			var flits int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := flit.Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				flits += r.FlitsEjected
+			}
+			b.ReportMetric(4000*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
+			if flits > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(flits), "ns/flit")
+			}
+		})
+	}
+}
+
 // BenchmarkLFTBuild measures forwarding-table synthesis.
 func BenchmarkLFTBuild(b *testing.B) {
 	t := benchTopo()

@@ -2,6 +2,7 @@ package flit
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"xgftsim/internal/stats"
@@ -29,10 +30,25 @@ import (
 // determinism. Only Poisson injection events, whose horizon is
 // unbounded, live in a small binary heap. Packets are arena-allocated
 // and referenced by index, keeping events pointer-free.
+//
+// The hot path does no work that cannot change the simulation (see
+// DESIGN.md §15): the (link, VC) queues are fixed-size rings in one
+// flat array; a per-node bitmap over the node's inbound links marks
+// the "armed" ones (at least one queued packet, not failed), so a freed
+// slot probes only upstream links that could start something; and the
+// injection queues hold whole messages, a packet slot being taken only
+// when the packet enters its first link queue, which bounds the packet
+// arena by what the network can hold. Message records are pointer-free,
+// so the backlog they hold past saturation costs the collector nothing
+// to scan.
 
 type message struct {
 	genTime     int64
-	packetsLeft int
+	dst         int32
+	path        int32 // oblivious: the chosen route's index in the pair's route set
+	packetsLeft int32 // packets not yet delivered or discarded
+	unsent      int32 // packets still waiting in the injection queue
+	vc          int8
 	measured    bool
 	dropped     bool // a packet was discarded as permanently unroutable
 }
@@ -152,38 +168,51 @@ type engine struct {
 	freeMsg []int32
 
 	// Per queue (link*V + vc): output queue state at the sending side.
-	outQ [][]int32
-	occ  []int // reserved slots (inbound + queued + draining tails)
+	// Queue q is a ring of BufferPackets slots at qbuf[q*B:]; qhead and
+	// qlen locate its packets.
+	qbuf  []int32
+	qhead []int32
+	qlen  []int32
+	occ   []int // reserved slots (inbound + queued + draining tails)
 
 	// Per physical link.
-	linkFree []int64
-	linkRR   []int32   // VC arbitration pointer
-	rrIdx    []int     // feeder arbitration pointer
-	feeders  [][]int32 // upstream links whose packets can enter this link's queues
-	failed   []bool    // down for the whole run
+	linkFree   []int64
+	linkRR     []int32 // VC arbitration pointer
+	rrIdx      []int32 // feeder arbitration pointer (a position in inbound[src])
+	linkQueued []int32 // packets queued over all the link's VCs
+	armBit     []int32 // the link's bit in armed (its destination's bitmap)
+	failed     []bool  // down for the whole run
 
 	// Link endpoint tables (LinkEndpoints is arithmetic-heavy).
 	linkSrc []topology.NodeID
 	linkDst []topology.NodeID
 
-	// Per node.
+	// Per node. The links feeding a switch-sourced link l are exactly
+	// inbound[src(l)]; armed holds one bitmap per node over its inbound
+	// positions (words armOff[n]..armOff[n+1]), a bit set while that
+	// link has a queued packet and is not failed.
 	outLinks    [][]int32 // outgoing directed link per port number
-	injQueue    [][]int32
+	inbound     [][]int32 // incoming directed links per node
+	armed       []uint64
+	armOff      []int32
+	injQueue    [][]int32 // message indices; live from injHead on
+	injHead     []int32
+	injTmpl     []packet  // packet template of the head message (msg -1: none built)
 	nextArrival []float64 // fractional Poisson clocks
 	rrVC        []int8    // per-node VC assignment pointer
 
 	// Adaptive-routing tables (see the selectors in selector.go).
 	nodeLevel  []int8
-	subtreeIdx []int32 // height-l subtree copy a switch roots
-	adaptRR    []int32 // per-node up-port rotation for tie-breaking
-	mLow       []int   // mLow[l] = Π_{i=1..l} m_i
-	mArr       []int   // mArr[l] = m_l
-	w          []int   // w[l] = w_l (up-port count of a level l-1 node)
-	wprod      []int   // wprod[l] = Π_{i=1..l} w_i
-	h          int     // tree height
-	portMask   []uint64 // adaptive-K per-up-port path-mask scratch
+	subtreeIdx []int32             // height-l subtree copy a switch roots
+	adaptRR    []int32             // per-node up-port rotation for tie-breaking
+	mLow       []int               // mLow[l] = Π_{i=1..l} m_i
+	mArr       []int               // mArr[l] = m_l
+	w          []int               // w[l] = w_l (up-port count of a level l-1 node)
+	wprod      []int               // wprod[l] = Π_{i=1..l} w_i
+	h          int                 // tree height
+	portMask   []uint64            // adaptive-K per-up-port path-mask scratch
 	pathIdx    map[int64]pathEntry // adaptive-K engine-local path-index cache
-	vcSubDiv   int     // processors per top-level subtree (VCDestSubtree)
+	vcSubDiv   int                 // processors per top-level subtree (VCDestSubtree)
 
 	// Routing caches. The round-robin pointers live in a dense array
 	// keyed by pair id for topologies up to rrDenseLimit pairs (a
@@ -250,12 +279,14 @@ func newEngine(cfg Config) *engine {
 	e.wheel = make([][]wheelEvent, e.wheelSpan)
 	nl := t.NumLinks()
 	nq := nl * e.vcs
-	e.outQ = make([][]int32, nq)
+	e.qbuf = make([]int32, nq*cfg.BufferPackets)
+	e.qhead = make([]int32, nq)
+	e.qlen = make([]int32, nq)
 	e.occ = make([]int, nq)
 	e.linkFree = make([]int64, nl)
 	e.linkRR = make([]int32, nl)
-	e.rrIdx = make([]int, nl)
-	e.feeders = make([][]int32, nl)
+	e.rrIdx = make([]int32, nl)
+	e.linkQueued = make([]int32, nl)
 	e.linkSrc = make([]topology.NodeID, nl)
 	e.linkDst = make([]topology.NodeID, nl)
 	for l := 0; l < nl; l++ {
@@ -283,10 +314,18 @@ func newEngine(cfg Config) *engine {
 	}
 	// A link's queues are fed by the transit links arriving at its
 	// source node; packets never transit through processing nodes
-	// (their queues are fed by injection alone).
-	for l := 0; l < nl; l++ {
-		if src := e.linkSrc[l]; int(src) >= e.numProc { // switch-sourced
-			e.feeders[l] = inbound[src]
+	// (their queues are fed by injection alone). Every link arrives at
+	// exactly one node, so it owns exactly one bit of armed.
+	e.inbound = inbound
+	e.armOff = make([]int32, nn+1)
+	for n := 0; n < nn; n++ {
+		e.armOff[n+1] = e.armOff[n] + int32((len(inbound[n])+63)/64)
+	}
+	e.armed = make([]uint64, e.armOff[nn])
+	e.armBit = make([]int32, nl)
+	for n, in := range inbound {
+		for pos, l := range in {
+			e.armBit[l] = e.armOff[n]*64 + int32(pos)
 		}
 	}
 	e.nodeLevel = make([]int8, nn)
@@ -332,6 +371,11 @@ func newEngine(cfg Config) *engine {
 		e.subtreeIdx[n] = int32(idx / t.WProd(l))
 	}
 	e.injQueue = make([][]int32, e.numProc)
+	e.injHead = make([]int32, e.numProc)
+	e.injTmpl = make([]packet, e.numProc)
+	for i := range e.injTmpl {
+		e.injTmpl[i].msg = -1
+	}
 	e.nextArrival = make([]float64, e.numProc)
 	e.rrVC = make([]int8, e.numProc)
 	flitsPerMsg := float64(cfg.FlitsPerPacket * cfg.PacketsPerMessage)
@@ -368,6 +412,48 @@ func (e *engine) qid(l int32, vc int8) int32 { return l*int32(e.vcs) + int32(vc)
 
 // qlink recovers the physical link of a queue id.
 func (e *engine) qlink(q int32) int32 { return q / int32(e.vcs) }
+
+// qpush appends pkt to queue q of link l; the ring cannot overflow
+// because every arrival holds a slot reservation.
+func (e *engine) qpush(q, l, pkt int32) {
+	n := e.qlen[q]
+	b := int32(e.cfg.BufferPackets)
+	if n >= b {
+		panic("flit: queue overflow") // invariant guard
+	}
+	slot := e.qhead[q] + n
+	if slot >= b {
+		slot -= b
+	}
+	e.qbuf[q*b+slot] = pkt
+	e.qlen[q] = n + 1
+	if e.linkQueued[l] == 0 && !e.failed[l] {
+		bit := e.armBit[l]
+		e.armed[bit>>6] |= 1 << uint(bit&63)
+	}
+	e.linkQueued[l]++
+}
+
+// qfront is the packet at the head of non-empty queue q.
+func (e *engine) qfront(q int32) int32 {
+	return e.qbuf[q*int32(e.cfg.BufferPackets)+e.qhead[q]]
+}
+
+// qpop removes the head of non-empty queue q of link l, disarming the
+// link once its last queued packet leaves.
+func (e *engine) qpop(q, l int32) {
+	h := e.qhead[q] + 1
+	if h == int32(e.cfg.BufferPackets) {
+		h = 0
+	}
+	e.qhead[q] = h
+	e.qlen[q]--
+	e.linkQueued[l]--
+	if e.linkQueued[l] == 0 {
+		bit := e.armBit[l]
+		e.armed[bit>>6] &^= 1 << uint(bit&63)
+	}
+}
 
 // schedule places a network event delta cycles ahead (0 < delta <
 // wheelSpan).
@@ -452,23 +538,24 @@ func (e *engine) pathsFor(pair int64, src, dst int) ([]int32, int8) {
 	return ent.idxs, ent.nca
 }
 
-// pickRoute applies the path policy to a non-empty route set.
-func (e *engine) pickRoute(routes [][]int, pair int64) []int {
-	if len(routes) == 1 {
-		return routes[0]
+// pickRoute applies the path policy to a set of n > 0 routes and
+// returns the chosen route's index.
+func (e *engine) pickRoute(n int, pair int64) int32 {
+	if n == 1 {
+		return 0
 	}
 	switch e.cfg.PathPolicy {
 	case RandomPath:
-		return routes[e.rng.Intn(len(routes))]
+		return int32(e.rng.Intn(n))
 	default:
 		if e.rrPathDense != nil {
-			i := int(e.rrPathDense[pair])
-			e.rrPathDense[pair] = int32((i + 1) % len(routes))
-			return routes[i]
+			i := e.rrPathDense[pair]
+			e.rrPathDense[pair] = (i + 1) % int32(n)
+			return i
 		}
 		i := e.rrPath[pair]
-		e.rrPath[pair] = (i + 1) % len(routes)
-		return routes[i]
+		e.rrPath[pair] = (i + 1) % n
+		return int32(i)
 	}
 }
 
@@ -526,17 +613,14 @@ func (e *engine) vcFor(node, dst int) int8 {
 	return vc
 }
 
-// injectOne creates one message at node and enqueues its packets,
-// moving as many as fit into the first link's queue.
+// injectOne creates one message at node and queues it for injection,
+// moving as many of its packets as fit into the first link's queue.
 func (e *engine) injectOne(node int, now int64) {
 	dst := e.cfg.Pattern.Dest(node, e.rng)
 	if dst == node {
 		return // pattern chose a self-destination; nothing to send
 	}
-	var route []int
-	var pidx []int32
-	var mask uint64
-	var nca int8
+	var path int32
 	switch e.sel {
 	case SelectOblivious:
 		pair := int64(node)*int64(e.numProc) + int64(dst)
@@ -548,110 +632,156 @@ func (e *engine) injectOne(node int, now int64) {
 			e.msgsUnroutable++
 			return
 		}
-		route = e.pickRoute(routes, pair)
+		path = e.pickRoute(len(routes), pair)
 	case SelectAdaptiveK:
 		pair := int64(node)*int64(e.numProc) + int64(dst)
-		pidx, nca = e.pathsFor(pair, node, dst)
-		if len(pidx) == 0 {
+		if pidx, _ := e.pathsFor(pair, node, dst); len(pidx) == 0 {
 			e.msgsUnroutable++
 			return
 		}
-		mask = fullMask(len(pidx))
 	}
-	vc := e.vcFor(node, dst)
 	measured := now >= e.warmEnd && now < e.endTime
+	ppm := int32(e.cfg.PacketsPerMessage)
 	msg := e.allocMessage(message{
 		genTime:     now,
-		packetsLeft: e.cfg.PacketsPerMessage,
+		dst:         int32(dst),
+		path:        path,
+		packetsLeft: ppm,
+		unsent:      ppm,
+		vc:          e.vcFor(node, dst),
 		measured:    measured,
 	})
 	if measured {
 		e.msgsGen++
 	}
-	for i := 0; i < e.cfg.PacketsPerMessage; i++ {
-		idx := e.allocPacket(packet{
-			msg:   msg,
-			route: route,
-			pidx:  pidx,
-			mask:  mask,
-			nca:   nca,
-			dst:   int32(dst),
-			vc:    vc,
-			flits: e.cfg.FlitsPerPacket,
-		})
-		e.injQueue[node] = append(e.injQueue[node], idx)
-		e.pktsInFlight++
+	// The message's packets count as in flight from injection on, so
+	// Result.BacklogPackets includes the injection backlog.
+	e.pktsInFlight += int64(ppm)
+	q := e.injQueue[node]
+	if h := int(e.injHead[node]); h > 0 && h >= len(q)-h {
+		// At least half the slice is consumed: slide the live tail
+		// down, so each pop pays O(1) amortized and the backing array
+		// never outgrows twice the live queue.
+		q = q[:copy(q, q[h:])]
+		e.injHead[node] = 0
 	}
+	e.injQueue[node] = append(q, msg)
 	e.drainInjection(node, now)
 }
 
-// drainInjection moves injection-queue packets into their first link
-// queue while slots are available. Every movement goes through the
-// configured hop selector; a hopDead packet (its forced first link is
-// down) is discarded so it cannot wedge the queue behind it.
+// drainInjection moves packets of the queued messages into their first
+// link queue while slots are available, taking a packet slot only on
+// admission. Every movement goes through the configured hop selector,
+// probing the head message's packet template; a hopDead packet (its
+// forced first link is down) is discarded so it cannot wedge the queue
+// behind it.
 func (e *engine) drainInjection(node int, now int64) {
-	for len(e.injQueue[node]) > 0 {
-		idx := e.injQueue[node][0]
-		p := &e.packets[idx]
-		c := e.hop.next(e, topology.NodeID(node), p, 0, p.vc)
+	t := &e.injTmpl[node]
+	for {
+		h := e.injHead[node]
+		q := e.injQueue[node]
+		if int(h) == len(q) {
+			return
+		}
+		mi := q[h]
+		if t.msg != mi {
+			e.buildTemplate(t, node, mi)
+		}
+		c := e.hop.next(e, topology.NodeID(node), t, 0, t.vc)
 		if c.status == hopBlocked {
 			return
 		}
-		q := e.injQueue[node]
-		copy(q, q[1:])
-		e.injQueue[node] = q[:len(q)-1]
-		if c.status == hopDead {
-			e.discard(idx, c.dead)
+		var idx int32 = -1
+		if c.status == hopOK {
+			idx = e.allocPacket(*t)
+		}
+		m := &e.msgs[mi]
+		if m.unsent--; m.unsent == 0 {
+			// The message leaves the queue; its slot may be reused by a
+			// later message, so the template must not match it again.
+			t.msg = -1
+			if int(h)+1 == len(q) {
+				e.injQueue[node], e.injHead[node] = q[:0], 0
+			} else {
+				e.injHead[node] = h + 1
+			}
+		}
+		if idx < 0 {
+			e.drop(mi, c.dead)
 			continue
 		}
+		p := &e.packets[idx]
 		e.hop.commit(e, topology.NodeID(node), p, c)
 		qi := e.qid(c.link, p.vc)
 		e.occ[qi]++
-		e.outQ[qi] = append(e.outQ[qi], idx)
+		e.qpush(qi, c.link, idx)
 		e.tryStart(c.link, now)
 	}
 }
 
-// discard releases a permanently-unroutable packet: its message is
-// accounted once in MsgsUnroutable, and the first drop of the run
-// records a diagnosis naming the dead link for Result.WedgeDiagnosis.
+// buildTemplate fills t with the packet template of message mi, the
+// new head of node's injection queue: its route (or path-index set and
+// full mask), destination and VC. The per-pair lookups hit the caches
+// injection filled when it chose the route.
+func (e *engine) buildTemplate(t *packet, node int, mi int32) {
+	m := &e.msgs[mi]
+	*t = packet{msg: mi, dst: m.dst, vc: m.vc, flits: e.cfg.FlitsPerPacket}
+	pair := int64(node)*int64(e.numProc) + int64(m.dst)
+	switch e.sel {
+	case SelectOblivious:
+		t.route = e.routesFor(pair, node, int(m.dst))[m.path]
+	case SelectAdaptiveK:
+		t.pidx, t.nca = e.pathsFor(pair, node, int(m.dst))
+		t.mask = fullMask(len(t.pidx))
+	}
+}
+
+// discard releases a permanently-unroutable packet in transit and its
+// arena slot.
 func (e *engine) discard(idx int32, dead int32) {
 	p := &e.packets[idx]
-	e.pktsInFlight--
-	m := &e.msgs[p.msg]
-	if !m.dropped {
-		m.dropped = true
-		e.msgsUnroutable++
-		if e.unroutableDiag == "" && dead >= 0 {
-			e.unroutableDiag = fmt.Sprintf("messages for node %d dropped as unroutable: %s",
-				p.dst, e.failedLinkWhy(dead, "is their forced next link"))
-		}
-	}
-	m.packetsLeft--
-	if m.packetsLeft == 0 {
-		e.freeMsg = append(e.freeMsg, p.msg)
-	}
+	e.drop(p.msg, dead)
 	p.msg = -1
 	p.route = nil
 	p.pidx = nil
 	e.freePkt = append(e.freePkt, idx)
 }
 
+// drop accounts one permanently-unroutable packet of message mi: the
+// message counts once in MsgsUnroutable, and the first drop of the run
+// records a diagnosis naming the dead link for Result.WedgeDiagnosis.
+func (e *engine) drop(mi int32, dead int32) {
+	e.pktsInFlight--
+	m := &e.msgs[mi]
+	if !m.dropped {
+		m.dropped = true
+		e.msgsUnroutable++
+		if e.unroutableDiag == "" && dead >= 0 {
+			e.unroutableDiag = fmt.Sprintf("messages for node %d dropped as unroutable: %s",
+				m.dst, e.failedLinkWhy(dead, "is their forced next link"))
+		}
+	}
+	m.packetsLeft--
+	if m.packetsLeft == 0 {
+		e.freeMsg = append(e.freeMsg, mi)
+	}
+}
+
 // tryStart attempts to begin a transmission on link l, arbitrating
 // round-robin across its VC queues. Safe to call speculatively: all
 // gates re-checked.
 func (e *engine) tryStart(l int32, now int64) {
-	if e.failed[l] || e.linkFree[l] > now {
+	if e.linkQueued[l] == 0 || e.failed[l] || e.linkFree[l] > now {
 		return
 	}
 	start := int(e.linkRR[l])
 	for i := 0; i < e.vcs; i++ {
 		vc := int8((start + i) % e.vcs)
 		q := e.qid(l, vc)
-		if len(e.outQ[q]) == 0 {
+		if e.qlen[q] == 0 {
 			continue
 		}
-		idx := e.outQ[q][0]
+		idx := e.qfront(q)
 		p := &e.packets[idx]
 		var last bool
 		if p.route != nil {
@@ -673,9 +803,7 @@ func (e *engine) tryStart(l int32, now int64) {
 				// instead of wedging the fabric behind it. The slot it
 				// held drains through the ordinary evFree path, which
 				// also re-arms this link and unblocks upstream feeders.
-				qq := e.outQ[q]
-				copy(qq, qq[1:])
-				e.outQ[q] = qq[:len(qq)-1]
+				e.qpop(q, l)
 				e.schedule(now, now+1, evFree, q, -1)
 				e.discard(idx, c.dead)
 				return
@@ -687,9 +815,7 @@ func (e *engine) tryStart(l int32, now int64) {
 		// Commit: pop, busy the link, free our slot when the tail
 		// leaves.
 		f := int64(p.flits)
-		qq := e.outQ[q]
-		copy(qq, qq[1:])
-		e.outQ[q] = qq[:len(qq)-1]
+		e.qpop(q, l)
 		e.linkFree[l] = now + f
 		e.linkRR[l] = int32((int(vc) + 1) % e.vcs)
 		e.linkStarts[l]++
@@ -707,6 +833,15 @@ func (e *engine) tryStart(l int32, now int64) {
 // free handles the tail of a transmission leaving queue q: the link
 // idles and the queue slot returns, unblocking the next local packet,
 // upstream senders (round-robin) and the injection queue.
+//
+// The upstream senders are the armed inbound links of the source
+// switch, probed in rotation order from rrIdx[l] until q is full
+// again. Links that are empty or still busy are skipped: probing them
+// can change nothing. Every other armed link must still be probed,
+// even one whose head is blocked on another queue: its own evFree may
+// be pending later in this cycle's bucket (linkFree == now), so it can
+// start a packet toward a different queue, and each blocked probe
+// counts in VCStalls.
 func (e *engine) free(q int32, now int64) {
 	e.occ[q]--
 	if e.occ[q] < 0 {
@@ -714,22 +849,46 @@ func (e *engine) free(q int32, now int64) {
 	}
 	l := e.qlink(q)
 	e.tryStart(l, now)
-	src := int(e.linkSrc[l])
-	if src < e.numProc {
-		e.drainInjection(src, now)
+	src := e.linkSrc[l]
+	if int(src) < e.numProc {
+		e.drainInjection(int(src), now)
 		return
 	}
-	fs := e.feeders[l]
-	start := e.rrIdx[l]
-	for i := 0; i < len(fs); i++ {
-		li := fs[(start+i)%len(fs)]
-		e.tryStart(li, now)
-		if e.occ[q] >= e.cfg.BufferPackets {
-			e.rrIdx[l] = (start + i + 1) % len(fs)
-			return
+	fs := e.inbound[src]
+	words := e.armed[e.armOff[src]:e.armOff[src+1]]
+	start := int(e.rrIdx[l])
+	w0, off := start>>6, uint(start&63)
+	// Visit word w0 from bit off up, the other words in order, then
+	// word w0 again below off. A probe only disarms the link it probes,
+	// so each word is read once.
+	for k := 0; k <= len(words); k++ {
+		wi := w0 + k
+		if wi >= len(words) {
+			wi -= len(words)
+		}
+		m := words[wi]
+		if k == 0 {
+			m &= ^uint64(0) << off
+		}
+		if k == len(words) {
+			m &= 1<<off - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			pos := wi<<6 + bits.TrailingZeros64(m)
+			li := fs[pos]
+			if e.linkFree[li] > now {
+				continue
+			}
+			e.tryStart(li, now)
+			if e.occ[q] >= e.cfg.BufferPackets {
+				if pos++; pos == len(fs) {
+					pos = 0
+				}
+				e.rrIdx[l] = int32(pos)
+				return
+			}
 		}
 	}
-	e.rrIdx[l] = start
 }
 
 // deliver finalizes a packet at its destination.
@@ -831,12 +990,10 @@ func (e *engine) loop(limit int64) {
 			switch ev.kind {
 			case evArrive:
 				q := ev.a
-				if len(e.outQ[q]) >= e.cfg.BufferPackets {
-					panic("flit: queue overflow") // invariant guard
-				}
-				e.outQ[q] = append(e.outQ[q], ev.pkt)
-				if len(e.outQ[q]) == 1 {
-					e.tryStart(e.qlink(q), now)
+				l := e.qlink(q)
+				e.qpush(q, l, ev.pkt)
+				if e.qlen[q] == 1 {
+					e.tryStart(l, now)
 				}
 			case evDeliver:
 				e.deliver(ev.pkt, now)
@@ -910,11 +1067,11 @@ func (e *engine) result() Result {
 // stallDiagnosis names an exemplar permanently blocked packet and why
 // it cannot move, for the watchdog's report.
 func (e *engine) stallDiagnosis() string {
-	for q, pkts := range e.outQ {
-		if len(pkts) == 0 {
+	for q, n := range e.qlen {
+		if n == 0 {
 			continue
 		}
-		p := &e.packets[pkts[0]]
+		p := &e.packets[e.qfront(int32(q))]
 		l := e.qlink(int32(q))
 		why := "downstream buffers never free"
 		switch {
@@ -930,10 +1087,9 @@ func (e *engine) stallDiagnosis() string {
 			e.pktsInFlight, p.dst, l, q%e.vcs, why)
 	}
 	for n, iq := range e.injQueue {
-		if len(iq) > 0 {
-			p := &e.packets[iq[0]]
+		if h := e.injHead[n]; int(h) < len(iq) {
 			return fmt.Sprintf("%d packets in flight with no schedulable event; e.g. a packet for node %d stuck in node %d's injection queue",
-				e.pktsInFlight, p.dst, n)
+				e.pktsInFlight, e.msgs[iq[h]].dst, n)
 		}
 	}
 	return fmt.Sprintf("%d packets in flight with no schedulable event and no queued location (accounting violation)", e.pktsInFlight)

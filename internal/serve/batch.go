@@ -289,6 +289,11 @@ func DecodeBatchFrame(data []byte) (*BatchFrame, error) {
 	}
 	count := binary.LittleEndian.Uint32(data[24:])
 	off := 28
+	// Every pair takes at least its 4-byte path count, so a count the
+	// frame cannot hold is rejected before it sizes any allocation.
+	if count > uint32(len(data)-off)/4 {
+		return nil, fmt.Errorf("serve: batch frame claims %d pairs, %d bytes hold at most %d", count, len(data)-off, (len(data)-off)/4)
+	}
 	fr.Paths = make([][]uint32, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if off+4 > len(data) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -271,6 +272,11 @@ func TestDecodeBatchFrameErrors(t *testing.T) {
 	wrongVer := bytes.Clone(good)
 	wrongVer[4] = 99
 	bad = append(bad, wrongVer)
+	// A bare header claiming 2^32-1 pairs must be refused before the
+	// count sizes any allocation.
+	hostile := bytes.Clone(good[:28])
+	binary.LittleEndian.PutUint32(hostile[24:], ^uint32(0))
+	bad = append(bad, hostile)
 	for i, b := range bad {
 		if _, err := DecodeBatchFrame(b); err == nil {
 			t.Errorf("corrupt frame %d decoded without error", i)
